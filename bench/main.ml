@@ -58,24 +58,6 @@ let decision_tests =
       Staged.stage (fun () ->
           ignore (What_if.best_rush (Sla_tree.build ~arena ~now buffer))))
 
-let incr_question_tests =
-  (* One postpone question against a live incremental tree. *)
-  Test.make_indexed ~name:"incr.postpone" ~fmt:"%s:%d" ~args:sizes (fun n ->
-      let tree = Incr_sla_tree.create ~now (buffer_of n) in
-      Staged.stage (fun () ->
-          ignore (Incr_sla_tree.postpone tree ~m:0 ~n:(n - 1) ~tau:50.0)))
-
-let incr_cycle_tests =
-  (* A full pop+append cycle on the incremental structure (amortized
-     rebuilds included) — contrast with sched.decision, which rebuilds
-     everything. *)
-  Test.make_indexed ~name:"incr.pop_append" ~fmt:"%s:%d" ~args:sizes (fun n ->
-      let tree = Incr_sla_tree.create ~now (buffer_of n) in
-      let replacement = (buffer_of 1).(0) in
-      Staged.stage (fun () ->
-          Incr_sla_tree.pop_head tree;
-          Incr_sla_tree.append tree replacement))
-
 let run_micro () =
   let grouped =
     Test.make_grouped ~name:"slatree"
@@ -85,8 +67,6 @@ let run_micro () =
         postpone_tests;
         naive_postpone_tests;
         decision_tests;
-        incr_question_tests;
-        incr_cycle_tests;
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
@@ -122,36 +102,39 @@ let run_micro () =
   Fmt.pr "@.";
   rows
 
+(* Every wall-clock section reads the monotonic clock. [Sys.time] sums
+   CPU time over all domains and [Unix.gettimeofday] can step. *)
+let ms_since t0 = Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e6
+
 (* Part 1b — sim.throughput: whole simulator runs through the FCFS
-   SLA-tree scheduling+dispatching pair, rebuild-per-decision vs the
-   incremental fast path. An overloaded single server grows its buffer
-   into the hundreds, which is exactly where the per-decision
-   [Sla_tree.build] dominates the event loop. *)
+   SLA-tree scheduling+dispatching pair. An overloaded single server
+   grows its buffer into the hundreds, which is exactly where the
+   per-decision [Sla_tree.build] of the scheduler dominates the event
+   loop. *)
 
 let throughput_case ~n_queries =
   Trace.generate
     (Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_b ~load:4.0
        ~servers:1 ~n_queries ~seed:42 ())
 
-let timed_run ~queries ~scheduler ~dispatcher =
+let timed_run ~queries =
   let max_buffer = ref 0 in
   let best = ref infinity in
   Gc.compact ();
   for _ = 1 to 3 do
     let metrics = Metrics.create ~warmup_id:0 () in
-    let pick_next, hook = Schedulers.instantiate scheduler in
+    let pick_next = Schedulers.pick Schedulers.fcfs_sla_tree in
     let pick ~now buffer =
       if Array.length buffer > !max_buffer then max_buffer := Array.length buffer;
       pick_next ~now buffer
     in
-    let t0 = Sys.time () in
-    Sim.run ?on_server_event:hook ~queries ~n_servers:1 ~pick_next:pick
-      ~dispatch:(Dispatchers.instantiate dispatcher)
+    let t0 = Obs.now_ns () in
+    Sim.run ~queries ~n_servers:1 ~pick_next:pick
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs))
       ~metrics ();
-    let dt = Sys.time () -. t0 in
-    if dt < !best then best := dt
+    best := Float.min !best (ms_since t0)
   done;
-  (!best *. 1e3, !max_buffer)
+  (!best, !max_buffer)
 
 let run_sim_throughput scale =
   let sizes =
@@ -159,24 +142,15 @@ let run_sim_throughput scale =
       [ 700 ]
     else [ 700; 1_400; 2_800 ]
   in
-  Fmt.pr "=== sim.throughput: rebuild vs incremental FCFS SLA-tree ===@.";
-  Fmt.pr "%-9s %-11s %12s %12s %9s@." "queries" "peak buffer" "rebuild"
-    "incremental" "speedup";
+  Fmt.pr "=== sim.throughput: FCFS SLA-tree, one overloaded server ===@.";
+  Fmt.pr "%-9s %-11s %12s@." "queries" "peak buffer" "wall";
   let rows =
     List.map
       (fun n ->
         let queries = throughput_case ~n_queries:n in
-        let rebuild_ms, peak =
-          timed_run ~queries ~scheduler:Schedulers.fcfs_sla_tree
-            ~dispatcher:(Dispatchers.sla_tree Planner.fcfs)
-        in
-        let incr_ms, _ =
-          timed_run ~queries ~scheduler:Schedulers.fcfs_sla_tree_incr
-            ~dispatcher:(Dispatchers.fcfs_sla_tree_incr ())
-        in
-        Fmt.pr "%-9d %-11d %9.1f ms %9.1f ms %8.1fx@." n peak rebuild_ms incr_ms
-          (rebuild_ms /. incr_ms);
-        (n, peak, rebuild_ms, incr_ms))
+        let wall_ms, peak = timed_run ~queries in
+        Fmt.pr "%-9d %-11d %9.1f ms@." n peak wall_ms;
+        (n, peak, wall_ms))
       sizes
   in
   Fmt.pr "@.";
@@ -184,9 +158,8 @@ let run_sim_throughput scale =
 
 (* Part 1b' — scale: the headline end-to-end run. A 1M-query trace
    spread over 100 servers at steady load (50k over 20 at smoke),
-   dispatched by FCFS two ways: the incremental per-server trees, and
-   the flat rebuild path with memoized dispatch probes. One wall-clock
-   run each — at this size a single run is past measurement noise, and
+   scheduled and dispatched by the FCFS SLA-tree pair. One wall-clock
+   run — at this size a single run is past measurement noise, and
    single-digit seconds for the million-query run is the bar. *)
 
 type scale_bench = {
@@ -207,35 +180,25 @@ let run_scale scale =
          ~servers:n_servers ~n_queries:n ~seed:scale.Exp_scale.base_seed ())
   in
   Fmt.pr "=== scale: %d queries over %d servers, FCFS ===@." n n_servers;
-  let run1 label ~scheduler ~dispatcher =
-    Gc.compact ();
-    let metrics = Metrics.create ~warmup_id:0 () in
-    let pick_next, hook = Schedulers.instantiate scheduler in
-    let t0 = Unix.gettimeofday () in
-    Sim.run ?on_server_event:hook ~queries ~n_servers ~pick_next
-      ~dispatch:(Dispatchers.instantiate dispatcher)
-      ~metrics ();
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-    let qps = Float.of_int n /. wall_ms *. 1e3 in
-    Fmt.pr "%-12s %10.0f ms %12.0f queries/s@." label wall_ms qps;
-    (label, wall_ms, qps)
-  in
-  let incr =
-    run1 "fcfs-incr" ~scheduler:Schedulers.fcfs_sla_tree_incr
-      ~dispatcher:(Dispatchers.fcfs_sla_tree_incr ())
-  in
-  let memo =
-    run1 "tree-memo" ~scheduler:Schedulers.fcfs_sla_tree
-      ~dispatcher:(Dispatchers.sla_tree Planner.fcfs)
-  in
-  let runs = [ incr; memo ] in
+  let label = "fcfs-tree" in
+  Gc.compact ();
+  let metrics = Metrics.create ~warmup_id:0 () in
+  let t0 = Obs.now_ns () in
+  Sim.run ~queries ~n_servers
+    ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
+    ~dispatch:(Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs))
+    ~metrics ();
+  let wall_ms = ms_since t0 in
+  let qps = Float.of_int n /. wall_ms *. 1e3 in
+  Fmt.pr "%-12s %10.0f ms %12.0f queries/s@." label wall_ms qps;
+  let runs = [ (label, wall_ms, qps) ] in
   Fmt.pr "@.";
   { sc_queries = n; sc_servers = n_servers; sc_runs = runs }
 
 (* Part 1c — observability overhead. After the lib/obs refactor every
    instrumentation site exists in the one binary, so "observability
    off" is the noop-sink path, not a separate build: the guard runs
-   the incremental sim.throughput case twice over [Obs.noop] (their
+   the sim.throughput case twice over [Obs.noop] (their
    delta is pure measurement noise — it bounds what the disabled
    instrumentation can possibly cost) and once over an enabled sink,
    whose decision-latency percentiles feed BENCH_sim.json. *)
@@ -255,19 +218,15 @@ let timed_run_obs ~obs ~queries =
   Gc.compact ();
   for _ = 1 to 3 do
     let metrics = Metrics.create ~warmup_id:0 () in
-    let pick_next, hook =
-      Schedulers.instantiate ~obs Schedulers.fcfs_sla_tree_incr
-    in
+    let pick_next = Schedulers.instantiate ~obs Schedulers.fcfs_sla_tree in
     let dispatch =
-      Dispatchers.instantiate ~obs (Dispatchers.fcfs_sla_tree_incr ())
+      Dispatchers.instantiate ~obs (Dispatchers.sla_tree Planner.fcfs)
     in
-    let t0 = Sys.time () in
-    Sim.run ~obs ?on_server_event:hook ~queries ~n_servers:1 ~pick_next
-      ~dispatch ~metrics ();
-    let dt = Sys.time () -. t0 in
-    if dt < !best then best := dt
+    let t0 = Obs.now_ns () in
+    Sim.run ~obs ~queries ~n_servers:1 ~pick_next ~dispatch ~metrics ();
+    best := Float.min !best (ms_since t0)
   done;
-  !best *. 1e3
+  !best
 
 let lat_summary reg name =
   let h = Obs.Registry.histogram reg name in
@@ -282,8 +241,7 @@ let run_obs_overhead scale =
     else 2_800
   in
   let queries = throughput_case ~n_queries:n in
-  Fmt.pr "=== obs: observability overhead (incremental path, %d queries) ===@."
-    n;
+  Fmt.pr "=== obs: observability overhead (FCFS SLA-tree, %d queries) ===@." n;
   let off_ms = timed_run_obs ~obs:Obs.noop ~queries in
   let off_repeat_ms = timed_run_obs ~obs:Obs.noop ~queries in
   let obs = Obs.create () in
@@ -321,7 +279,7 @@ let run_obs_overhead scale =
   }
 
 (* Part 1c' — fault-injection hook overhead. Three runs of one steady
-   multi-server workload on the incremental path: no injector at all
+   multi-server workload on the FCFS SLA-tree pair: no injector at all
    (the pre-existing fast path), an injector over the empty plan
    (timers wired, on_server_event chained — what `--faults none`
    costs), and an active moderate plan. The off-vs-empty delta is the
@@ -340,31 +298,23 @@ let timed_run_faults ~make_injector ~queries ~n_servers =
   Gc.compact ();
   for _ = 1 to 3 do
     let metrics = Metrics.create ~warmup_id:0 () in
-    let pick_next, hook =
-      Schedulers.instantiate Schedulers.fcfs_sla_tree_incr
-    in
+    let pick_next = Schedulers.pick Schedulers.fcfs_sla_tree in
     let dispatch =
-      Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ())
+      Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs)
     in
     let injector = make_injector () in
-    let t0 = Sys.time () in
+    let t0 = Obs.now_ns () in
     (match injector with
-    | None ->
-      Sim.run ?on_server_event:hook ~queries ~n_servers ~pick_next ~dispatch
-        ~metrics ()
+    | None -> Sim.run ~queries ~n_servers ~pick_next ~dispatch ~metrics ()
     | Some inj ->
-      let on_server_event ~sid ~now ev =
-        Fault.on_server_event inj ~sid ~now ev;
-        match hook with Some h -> h ~sid ~now ev | None -> ()
-      in
       Sim.run
         ~timers:(Fault.timers inj)
-        ~on_server_event ~queries ~n_servers ~pick_next ~dispatch ~metrics ();
+        ~on_server_event:(Fault.on_server_event inj)
+        ~queries ~n_servers ~pick_next ~dispatch ~metrics ();
       Fault.finalize inj metrics);
-    let dt = Sys.time () -. t0 in
-    if dt < !best then best := dt
+    best := Float.min !best (ms_since t0)
   done;
-  !best *. 1e3
+  !best
 
 let run_faults scale =
   let n =
@@ -423,11 +373,11 @@ let run_elastic scale =
   Fmt.pr "=== elastic: autoscaling comparison (%d queries) ===@."
     scale.Exp_scale.n_queries;
   Gc.compact ();
-  let t0 = Sys.time () in
+  let t0 = Obs.now_ns () in
   let rows =
     Exp_elastic.rows ~scale ~seed:scale.Exp_scale.base_seed ()
   in
-  let wall_ms = (Sys.time () -. t0) *. 1e3 in
+  let wall_ms = ms_since t0 in
   List.iter
     (fun (r : Exp_elastic.row) ->
       Fmt.pr "%-20s net $%8.0f (profit %8.0f, cost %8.0f)@."
@@ -459,12 +409,12 @@ let run_forecast ~rows () =
   let time_model mk =
     let f = mk () in
     Gc.compact ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now_ns () in
     for i = 0 to updates - 1 do
       Forecast.observe f (Float.of_int (i land 31));
       ignore (Sys.opaque_identity (Forecast.predict f ~horizon:2))
     done;
-    (Unix.gettimeofday () -. t0) *. 1e9 /. Float.of_int updates
+    ms_since t0 *. 1e6 /. Float.of_int updates
   in
   let hw_ns = time_model (fun () -> Forecast.holt_winters ~season:24 ()) in
   let ewma_ns = time_model (fun () -> Forecast.ewma ()) in
@@ -495,8 +445,7 @@ let run_forecast ~rows () =
 (* Part 1e — the domain-parallel experiment runner: the whole Table 2
    grid timed serial and on 2 / 4 worker domains, plus the check that
    underwrites the determinism contract — every cell of every parallel
-   run must be [Float.equal] to its serial counterpart. [Sys.time] sums
-   CPU time across domains, so this one section times wall clock. *)
+   run must be [Float.equal] to its serial counterpart. *)
 
 type parallel_bench = {
   par_cells : int;
@@ -508,9 +457,9 @@ type parallel_bench = {
 
 let wall_table2 scale =
   Gc.compact ();
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_ns () in
   let cells = Table2.compute scale in
-  let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let ms = ms_since t0 in
   (ms, cells)
 
 let run_parallel scale =
@@ -586,12 +535,12 @@ let run_serve scale =
   Gc.compact ();
   let inproc_metrics = Metrics.create ~warmup_id:0 () in
   let inproc_ms =
-    let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
-    let t0 = Unix.gettimeofday () in
-    Sim.run ?on_server_event:hook ~queries ~n_servers ~pick_next
-      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+    let t0 = Obs.now_ns () in
+    Sim.run ~queries ~n_servers
+      ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs))
       ~metrics:inproc_metrics ();
-    (Unix.gettimeofday () -. t0) *. 1e3
+    ms_since t0
   in
   (* Socket path: daemon in a second domain, unpaced deterministic
      replay over a unix socket. *)
@@ -600,8 +549,8 @@ let run_serve scale =
   let obs = Obs.create ~trace_capacity:0 () in
   let engine =
     Daemon.Engine.create ~obs ~clock:(Vclock.manual ())
-      ~scheduler:Schedulers.fcfs_sla_tree_incr
-      ~dispatcher:(Dispatchers.fcfs_sla_tree_incr ())
+      ~scheduler:Schedulers.fcfs_sla_tree
+      ~dispatcher:(Dispatchers.sla_tree Planner.fcfs)
       ~n_servers ()
   in
   let ready = Atomic.make false in
@@ -615,9 +564,9 @@ let run_serve scale =
     Unix.sleepf 0.001
   done;
   let fd = Replay.connect (Daemon.Unix_sock sock) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.now_ns () in
   let report = Replay.run ~speed:0.0 ~client:"bench" ~fd ~queries () in
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let wall_ms = ms_since t0 in
   Domain.join daemon;
   let arrivals_per_s = Float.of_int n /. wall_ms *. 1e3 in
   let profit_identical =
@@ -720,12 +669,12 @@ let run_swf scale =
       Fmt.pr "=== swf: real-trace streaming, %s x %d tiles ===@." path tiles;
       (* Parse only. *)
       Gc.compact ();
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.now_ns () in
       let file_jobs = ref 0 in
       for _ = 1 to tiles do
         file_jobs := Swf.fold path ~init:0 ~f:(fun n _ -> n + 1)
       done;
-      let parse_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      let parse_ms = ms_since t0 in
       let total_jobs = tiles * !file_jobs in
       let mb = file_mb *. Float.of_int tiles in
       let parse_mb_s = mb /. parse_ms *. 1e3 in
@@ -733,29 +682,27 @@ let run_swf scale =
       (* Parse + SLA synthesis. *)
       let synth_cfg = Sla_synth.config ~time_scale:10.0 () in
       let stats = Sla_synth.stats_create () in
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.now_ns () in
       Seq.iter ignore (Sla_synth.stream synth_cfg ~tiles ~stats ~path ());
-      let synth_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      let synth_ms = ms_since t0 in
       let synth_jobs_s = Float.of_int stats.Sla_synth.read /. synth_ms *. 1e3 in
-      (* End-to-end: the streamed experiment cell (incremental SLA-tree
+      (* End-to-end: the streamed experiment cell (FCFS SLA-tree
          scheduling and dispatching) over the full tiled stream. *)
       let n_servers = 20 in
       let warmup_id = stats.Sla_synth.kept / 10 in
       let metrics = Metrics.create ~response_cap:65_536 ~warmup_id () in
-      let pick_next, hook =
-        Schedulers.instantiate Schedulers.fcfs_sla_tree_incr
-      in
       Gc.compact ();
-      let t0 = Unix.gettimeofday () in
+      let t0 = Obs.now_ns () in
       let sess =
-        Sim.session ?on_server_event:hook ~n_servers ~pick_next
-          ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+        Sim.session ~n_servers
+          ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
+          ~dispatch:(Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs))
           ~metrics ()
       in
       Seq.iter (Sim.inject sess)
         (Sla_synth.stream synth_cfg ~tiles ~path ());
       Sim.drain sess;
-      let run_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      let run_ms = ms_since t0 in
       let run_queries = Metrics.completed_count metrics in
       let run_qps = Float.of_int stats.Sla_synth.kept /. run_ms *. 1e3 in
       let peak_heap_mb =
@@ -833,17 +780,15 @@ let run_tenancy scale =
         Sim.Admit
     in
     let metrics = Metrics.create ~warmup_id () in
-    let pick_next, hook =
-      Schedulers.instantiate Schedulers.fcfs_sla_tree_incr
-    in
     Gc.compact ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.now_ns () in
     Sim.run ~admit
       ~on_complete:(Tenancy.Acct.on_complete acct)
-      ?on_server_event:hook ~queries ~n_servers:servers ~pick_next
-      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+      ~queries ~n_servers:servers
+      ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs))
       ~metrics ();
-    let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+    let ms = ms_since t0 in
     (ms, Tenancy.report acct, metrics)
   in
   let off_ms, rep_off, _ = one ~admission_on:false in
@@ -872,25 +817,9 @@ let run_tenancy scale =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Machine-readable results (BENCH_sim.json). Hand-rolled writer: the
-   schema is flat and the toolchain has no JSON dependency. *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+(* Machine-readable results (BENCH_sim.json). Hand-rolled writer over
+   the shared [Jsonx] string and number printers: the schema is flat
+   and the toolchain has no JSON dependency. *)
 
 let emit_json ~path ~scale ~micro ~throughput ~scale_run ~elastic ~forecast
     ~obs ~faults ~parallel ~serve ~swf ~tenancy =
@@ -898,26 +827,24 @@ let emit_json ~path ~scale ~micro ~throughput ~scale_run ~elastic ~forecast
   let add = Buffer.add_string buf in
   add "{\n";
   add (Printf.sprintf "  \"schema\": \"slatree-bench/1\",\n");
-  add (Printf.sprintf "  \"scale\": \"%s\",\n" (json_escape (Exp_scale.name scale)));
+  add (Printf.sprintf "  \"scale\": \"%s\",\n" (Jsonx.escape (Exp_scale.name scale)));
   add (Printf.sprintf "  \"n_queries\": %d,\n" scale.Exp_scale.n_queries);
   add "  \"micro_ns\": [\n";
   List.iteri
     (fun i (name, ns) ->
       add
         (Printf.sprintf "    {\"name\": \"%s\", \"ns\": %s}%s\n"
-           (json_escape name) (json_float ns)
+           (Jsonx.escape name) (Jsonx.short_float ns)
            (if i = List.length micro - 1 then "" else ",")))
     micro;
   add "  ],\n";
   add "  \"sim_throughput\": [\n";
   List.iteri
-    (fun i (n, peak, rebuild_ms, incr_ms) ->
+    (fun i (n, peak, wall_ms) ->
       add
         (Printf.sprintf
-           "    {\"queries\": %d, \"peak_buffer\": %d, \"rebuild_ms\": %s, \
-            \"incremental_ms\": %s, \"speedup\": %s}%s\n"
-           n peak (json_float rebuild_ms) (json_float incr_ms)
-           (json_float (rebuild_ms /. incr_ms))
+           "    {\"queries\": %d, \"peak_buffer\": %d, \"wall_ms\": %s}%s\n"
+           n peak (Jsonx.short_float wall_ms)
            (if i = List.length throughput - 1 then "" else ",")))
     throughput;
   add "  ],\n";
@@ -930,13 +857,13 @@ let emit_json ~path ~scale ~micro ~throughput ~scale_run ~elastic ~forecast
       add
         (Printf.sprintf
            "      {\"label\": \"%s\", \"wall_ms\": %s, \"qps\": %s}%s\n"
-           (json_escape label) (json_float wall_ms) (json_float qps)
+           (Jsonx.escape label) (Jsonx.short_float wall_ms) (Jsonx.short_float qps)
            (if i = List.length scale_run.sc_runs - 1 then "" else ",")))
     scale_run.sc_runs;
   add "    ]\n  },\n";
   let wall_ms, rows = elastic in
   add "  \"elastic\": {\n";
-  add (Printf.sprintf "    \"wall_ms\": %s,\n" (json_float wall_ms));
+  add (Printf.sprintf "    \"wall_ms\": %s,\n" (Jsonx.short_float wall_ms));
   add "    \"rows\": [\n";
   List.iteri
     (fun i (r : Exp_elastic.row) ->
@@ -945,12 +872,12 @@ let emit_json ~path ~scale ~micro ~throughput ~scale_run ~elastic ~forecast
            "      {\"policy\": \"%s\", \"initial\": %d, \"profit\": %s, \
             \"server_time\": %s, \"cost\": %s, \"net\": %s, \"peak_pool\": %d, \
             \"min_pool\": %d, \"scale_ups\": %d, \"scale_downs\": %d}%s\n"
-           (json_escape r.Exp_elastic.label)
+           (Jsonx.escape r.Exp_elastic.label)
            r.Exp_elastic.initial
-           (json_float r.Exp_elastic.profit)
-           (json_float r.Exp_elastic.server_time)
-           (json_float r.Exp_elastic.cost)
-           (json_float r.Exp_elastic.net)
+           (Jsonx.short_float r.Exp_elastic.profit)
+           (Jsonx.short_float r.Exp_elastic.server_time)
+           (Jsonx.short_float r.Exp_elastic.cost)
+           (Jsonx.short_float r.Exp_elastic.net)
            r.Exp_elastic.peak r.Exp_elastic.low r.Exp_elastic.ups
            r.Exp_elastic.downs
            (if i = List.length rows - 1 then "" else ",")))
@@ -958,63 +885,63 @@ let emit_json ~path ~scale ~micro ~throughput ~scale_run ~elastic ~forecast
   add "    ]\n  },\n";
   add "  \"forecast\": {\n";
   add (Printf.sprintf "    \"updates\": %d,\n" forecast.fc_updates);
-  add (Printf.sprintf "    \"hw_ns\": %s,\n" (json_float forecast.fc_hw_ns));
+  add (Printf.sprintf "    \"hw_ns\": %s,\n" (Jsonx.short_float forecast.fc_hw_ns));
   add
-    (Printf.sprintf "    \"ewma_ns\": %s,\n" (json_float forecast.fc_ewma_ns));
+    (Printf.sprintf "    \"ewma_ns\": %s,\n" (Jsonx.short_float forecast.fc_ewma_ns));
   add
     (Printf.sprintf "    \"reactive_net\": %s,\n"
-       (json_float forecast.fc_reactive_net));
+       (Jsonx.short_float forecast.fc_reactive_net));
   add
     (Printf.sprintf "    \"predictive_net\": %s,\n"
-       (json_float forecast.fc_predictive_net));
+       (Jsonx.short_float forecast.fc_predictive_net));
   add
     (Printf.sprintf "    \"oracle_net\": %s,\n"
-       (json_float forecast.fc_oracle_net));
+       (Jsonx.short_float forecast.fc_oracle_net));
   add
     (Printf.sprintf "    \"predictive_minus_reactive\": %s\n"
-       (json_float forecast.fc_delta));
+       (Jsonx.short_float forecast.fc_delta));
   add "  },\n";
   let lat_json name (c, p50, p90, p99) last =
     add
       (Printf.sprintf
          "    \"%s\": {\"count\": %d, \"p50_ns\": %s, \"p90_ns\": %s, \
           \"p99_ns\": %s}%s\n"
-         name c (json_float p50) (json_float p90) (json_float p99)
+         name c (Jsonx.short_float p50) (Jsonx.short_float p90) (Jsonx.short_float p99)
          (if last then "" else ","))
   in
   add "  \"obs\": {\n";
-  add (Printf.sprintf "    \"off_ms\": %s,\n" (json_float obs.off_ms));
+  add (Printf.sprintf "    \"off_ms\": %s,\n" (Jsonx.short_float obs.off_ms));
   add
     (Printf.sprintf "    \"off_repeat_ms\": %s,\n"
-       (json_float obs.off_repeat_ms));
+       (Jsonx.short_float obs.off_repeat_ms));
   add
     (Printf.sprintf "    \"off_delta_pct\": %s,\n"
-       (json_float obs.off_delta_pct));
-  add (Printf.sprintf "    \"on_ms\": %s,\n" (json_float obs.on_ms));
+       (Jsonx.short_float obs.off_delta_pct));
+  add (Printf.sprintf "    \"on_ms\": %s,\n" (Jsonx.short_float obs.on_ms));
   add
     (Printf.sprintf "    \"on_overhead_pct\": %s,\n"
-       (json_float obs.on_overhead_pct));
+       (Jsonx.short_float obs.on_overhead_pct));
   lat_json "sched_decision_ns" obs.sched_lat false;
   lat_json "dispatch_decision_ns" obs.dispatch_lat true;
   add "  },\n";
   add "  \"faults\": {\n";
-  add (Printf.sprintf "    \"off_ms\": %s,\n" (json_float faults.fault_off_ms));
+  add (Printf.sprintf "    \"off_ms\": %s,\n" (Jsonx.short_float faults.fault_off_ms));
   add
     (Printf.sprintf "    \"empty_plan_ms\": %s,\n"
-       (json_float faults.fault_empty_ms));
+       (Jsonx.short_float faults.fault_empty_ms));
   add
     (Printf.sprintf "    \"active_plan_ms\": %s,\n"
-       (json_float faults.fault_active_ms));
+       (Jsonx.short_float faults.fault_active_ms));
   add
     (Printf.sprintf "    \"empty_delta_pct\": %s\n"
-       (json_float faults.fault_empty_delta_pct));
+       (Jsonx.short_float faults.fault_empty_delta_pct));
   add "  },\n";
   add "  \"parallel\": {\n";
   add (Printf.sprintf "    \"cells\": %d,\n" parallel.par_cells);
   add (Printf.sprintf "    \"cores\": %d,\n" parallel.par_cores);
   add
     (Printf.sprintf "    \"serial_ms\": %s,\n"
-       (json_float parallel.par_serial_ms));
+       (Jsonx.short_float parallel.par_serial_ms));
   add
     (Printf.sprintf "    \"bit_identical\": %b,\n" parallel.par_identical);
   add "    \"runs\": [\n";
@@ -1024,8 +951,8 @@ let emit_json ~path ~scale ~micro ~throughput ~scale_run ~elastic ~forecast
         (Printf.sprintf
            "      {\"jobs\": %d, \"ms\": %s, \"speedup\": %s, \
             \"identical\": %b}%s\n"
-           jobs (json_float ms)
-           (json_float (parallel.par_serial_ms /. ms))
+           jobs (Jsonx.short_float ms)
+           (Jsonx.short_float (parallel.par_serial_ms /. ms))
            identical
            (if i = List.length parallel.par_runs - 1 then "" else ",")))
     parallel.par_runs;
@@ -1033,15 +960,15 @@ let emit_json ~path ~scale ~micro ~throughput ~scale_run ~elastic ~forecast
   add "  \"serve\": {\n";
   add (Printf.sprintf "    \"queries\": %d,\n" serve.sv_queries);
   add (Printf.sprintf "    \"servers\": %d,\n" serve.sv_servers);
-  add (Printf.sprintf "    \"wall_ms\": %s,\n" (json_float serve.sv_wall_ms));
+  add (Printf.sprintf "    \"wall_ms\": %s,\n" (Jsonx.short_float serve.sv_wall_ms));
   add
     (Printf.sprintf "    \"arrivals_per_s\": %s,\n"
-       (json_float serve.sv_arrivals_per_s));
+       (Jsonx.short_float serve.sv_arrivals_per_s));
   add
-    (Printf.sprintf "    \"inproc_ms\": %s,\n" (json_float serve.sv_inproc_ms));
+    (Printf.sprintf "    \"inproc_ms\": %s,\n" (Jsonx.short_float serve.sv_inproc_ms));
   add
     (Printf.sprintf "    \"socket_overhead_x\": %s,\n"
-       (json_float (serve.sv_wall_ms /. serve.sv_inproc_ms)));
+       (Jsonx.short_float (serve.sv_wall_ms /. serve.sv_inproc_ms)));
   add
     (Printf.sprintf "    \"profit_identical\": %b,\n"
        serve.sv_profit_identical);
@@ -1049,44 +976,44 @@ let emit_json ~path ~scale ~micro ~throughput ~scale_run ~elastic ~forecast
   lat_json "dispatch_decision_ns" serve.sv_dispatch_lat true;
   add "  },\n";
   add "  \"swf\": {\n";
-  add (Printf.sprintf "    \"fixture\": \"%s\",\n" (json_escape swf.sw_path));
+  add (Printf.sprintf "    \"fixture\": \"%s\",\n" (Jsonx.escape swf.sw_path));
   add (Printf.sprintf "    \"file_jobs\": %d,\n" swf.sw_file_jobs);
   add (Printf.sprintf "    \"tiles\": %d,\n" swf.sw_tiles);
   add (Printf.sprintf "    \"jobs\": %d,\n" (swf.sw_file_jobs * swf.sw_tiles));
-  add (Printf.sprintf "    \"mb\": %s,\n" (json_float swf.sw_mb));
-  add (Printf.sprintf "    \"parse_ms\": %s,\n" (json_float swf.sw_parse_ms));
+  add (Printf.sprintf "    \"mb\": %s,\n" (Jsonx.short_float swf.sw_mb));
+  add (Printf.sprintf "    \"parse_ms\": %s,\n" (Jsonx.short_float swf.sw_parse_ms));
   add
-    (Printf.sprintf "    \"parse_mb_s\": %s,\n" (json_float swf.sw_parse_mb_s));
+    (Printf.sprintf "    \"parse_mb_s\": %s,\n" (Jsonx.short_float swf.sw_parse_mb_s));
   add
     (Printf.sprintf "    \"parse_jobs_s\": %s,\n"
-       (json_float swf.sw_parse_jobs_s));
+       (Jsonx.short_float swf.sw_parse_jobs_s));
   add
     (Printf.sprintf "    \"synth_queries\": %d,\n" swf.sw_synth_queries);
-  add (Printf.sprintf "    \"synth_ms\": %s,\n" (json_float swf.sw_synth_ms));
+  add (Printf.sprintf "    \"synth_ms\": %s,\n" (Jsonx.short_float swf.sw_synth_ms));
   add
     (Printf.sprintf "    \"synth_jobs_s\": %s,\n"
-       (json_float swf.sw_synth_jobs_s));
+       (Jsonx.short_float swf.sw_synth_jobs_s));
   add
     (Printf.sprintf "    \"run_queries\": %d,\n" swf.sw_run_queries);
-  add (Printf.sprintf "    \"run_ms\": %s,\n" (json_float swf.sw_run_ms));
-  add (Printf.sprintf "    \"run_qps\": %s,\n" (json_float swf.sw_run_qps));
+  add (Printf.sprintf "    \"run_ms\": %s,\n" (Jsonx.short_float swf.sw_run_ms));
+  add (Printf.sprintf "    \"run_qps\": %s,\n" (Jsonx.short_float swf.sw_run_qps));
   add
     (Printf.sprintf "    \"peak_heap_mb\": %s\n"
-       (json_float swf.sw_peak_heap_mb));
+       (Jsonx.short_float swf.sw_peak_heap_mb));
   add "  },\n";
   add "  \"tenancy\": {\n";
   add (Printf.sprintf "    \"queries\": %d,\n" tenancy.tn_queries);
-  add (Printf.sprintf "    \"off_ms\": %s,\n" (json_float tenancy.tn_off_ms));
-  add (Printf.sprintf "    \"on_ms\": %s,\n" (json_float tenancy.tn_on_ms));
+  add (Printf.sprintf "    \"off_ms\": %s,\n" (Jsonx.short_float tenancy.tn_off_ms));
+  add (Printf.sprintf "    \"on_ms\": %s,\n" (Jsonx.short_float tenancy.tn_on_ms));
   add
     (Printf.sprintf "    \"overhead_pct\": %s,\n"
-       (json_float tenancy.tn_overhead_pct));
+       (Jsonx.short_float tenancy.tn_overhead_pct));
   add
     (Printf.sprintf "    \"profit_off\": %s,\n"
-       (json_float tenancy.tn_profit_off));
+       (Jsonx.short_float tenancy.tn_profit_off));
   add
     (Printf.sprintf "    \"profit_on\": %s,\n"
-       (json_float tenancy.tn_profit_on));
+       (Jsonx.short_float tenancy.tn_profit_on));
   add (Printf.sprintf "    \"rejected\": %d,\n" tenancy.tn_rejected);
   add (Printf.sprintf "    \"degraded\": %d\n" tenancy.tn_degraded);
   add "  }\n}\n";

@@ -106,7 +106,6 @@ let run_ablation which scale_opt jobs =
   | "sched" -> `Ok (Ablations.sched_run ppf scale)
   | "dispatch" -> `Ok (Ablations.disp_run ppf scale)
   | "admission" -> `Ok (Ablations.admission_run ppf scale)
-  | "incremental" -> `Ok (Ablations.incr_run ppf ~seed:scale.Exp_scale.base_seed ())
   | "predictor" -> `Ok (Ablations.predictor_run ppf scale)
   | "fairness" -> `Ok (Ablations.fairness_run ppf scale)
   | "hetero" -> `Ok (Ablations.hetero_run ppf scale)
@@ -119,7 +118,7 @@ let run_ablation which scale_opt jobs =
       ( false,
         Printf.sprintf
           "unknown ablation %S (expected \
-           sched|dispatch|admission|incremental|predictor|fairness|hetero|drop|optimality|all)"
+           sched|dispatch|admission|predictor|fairness|hetero|drop|optimality|all)"
           s )
 
 (* ------------------------------------------------------------------ *)
@@ -261,7 +260,6 @@ let scheduler_of_string ~rate = function
   | "value-edf" -> Ok Schedulers.value_edf
   | "cbs" -> Ok (Schedulers.cbs ~rate)
   | "fcfs+tree" -> Ok Schedulers.fcfs_sla_tree
-  | "fcfs+tree-incr" -> Ok Schedulers.fcfs_sla_tree_incr
   | "sjf+tree" -> Ok Schedulers.sjf_sla_tree
   | "edf+tree" -> Ok Schedulers.edf_sla_tree
   | "value-edf+tree" -> Ok Schedulers.value_edf_sla_tree
@@ -274,8 +272,8 @@ let dispatcher_of_string ~rate = function
   | "random" -> Ok (Dispatchers.random ~seed:1)
   | "tree" -> Ok (Dispatchers.sla_tree (Planner.cbs ~rate))
   | "tree+ac" -> Ok (Dispatchers.sla_tree ~admission:true (Planner.cbs ~rate))
-  | "tree-fcfs" -> Ok (Dispatchers.fcfs_sla_tree_incr ())
-  | "tree-fcfs+ac" -> Ok (Dispatchers.fcfs_sla_tree_incr ~admission:true ())
+  | "tree-fcfs" -> Ok (Dispatchers.sla_tree Planner.fcfs)
+  | "tree-fcfs+ac" -> Ok (Dispatchers.sla_tree ~admission:true Planner.fcfs)
   | s -> Error (Printf.sprintf "unknown dispatcher %S" s)
 
 let run_trace_generate out kind profile load servers n seed sigma2 tenants =
@@ -317,8 +315,8 @@ let run_trace_replay file scheduler_name dispatcher_name servers warmup =
     | Error e, _ | _, Error e -> `Error (false, e)
     | Ok scheduler, Ok dispatcher ->
       let metrics = Metrics.create ~warmup_id:warmup () in
-      let pick_next, hook = Schedulers.instantiate scheduler in
-      Sim.run ?on_server_event:hook ~queries ~n_servers:servers ~pick_next
+      Sim.run ~queries ~n_servers:servers
+        ~pick_next:(Schedulers.pick scheduler)
         ~dispatch:(Dispatchers.instantiate dispatcher)
         ~metrics ();
       Fmt.pf ppf "replayed %d queries (%s / %s, %d server(s), warm-up %d)@."
@@ -394,7 +392,7 @@ let run_sim kind profile load servers n seed sigma2 scheduler_name
     | Ok scheduler, Ok dispatcher ->
       let obs = obs_of_outputs ~trace ~metrics:metrics_out in
       let metrics = Metrics.create ~warmup_id:warmup () in
-      let pick_next, hook = Schedulers.instantiate ~obs scheduler in
+      let pick_next = Schedulers.instantiate ~obs scheduler in
       let dispatch = Dispatchers.instantiate ~obs dispatcher in
       let injector =
         match faults with
@@ -411,10 +409,6 @@ let run_sim kind profile load servers n seed sigma2 scheduler_name
       (match injector with
       | Error e -> `Error (false, e)
       | Ok injector ->
-        let on_server_event ~sid ~now ev =
-          Option.iter (fun i -> Fault.on_server_event i ~sid ~now ev) injector;
-          match hook with Some h -> h ~sid ~now ev | None -> ()
-        in
         (* Sample roughly 200 rows over the arrival span (at least one
            mean execution time apart, so a degenerate span cannot make
            the ticker spin). *)
@@ -430,7 +424,8 @@ let run_sim kind profile load servers n seed sigma2 scheduler_name
             let interval = Float.max mean (span /. 200.0) in
             Some (ts, (interval, fun sim -> sample_sim ts metrics sim))
         in
-        Sim.run ~obs ~on_server_event
+        Sim.run ~obs
+          ?on_server_event:(Option.map Fault.on_server_event injector)
           ?ticker:(Option.map snd ts_ticker)
           ?timers:(Option.map Fault.timers injector)
           ~queries ~n_servers:servers ~pick_next ~dispatch ~metrics ();
@@ -543,8 +538,8 @@ let ablation_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"WHICH"
           ~doc:
-            "sched | dispatch | admission | incremental | predictor | fairness \
-             | hetero | all")
+            "sched | dispatch | admission | predictor | fairness | hetero \
+             | drop | optimality | all")
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Run an ablation study beyond the paper's tables")
@@ -620,10 +615,8 @@ let sim_cmd =
            ~doc:"Estimation error variance (Sec 7.5); 0 = perfect estimates")
   in
   let scheduler =
-    Arg.(value & opt string "fcfs+tree-incr" & info [ "scheduler" ] ~docv:"SCHED"
-           ~doc:
-             "fcfs | sjf | edf | value-edf | cbs, each optionally +tree; \
-              fcfs+tree-incr for the incremental SLA-tree fast path")
+    Arg.(value & opt string "fcfs+tree" & info [ "scheduler" ] ~docv:"SCHED"
+           ~doc:"fcfs | sjf | edf | value-edf | cbs, each optionally +tree")
   in
   let dispatcher =
     Arg.(value & opt string "tree-fcfs" & info [ "dispatcher" ] ~docv:"DISP"
@@ -712,9 +705,7 @@ let trace_replay_cmd =
   in
   let scheduler =
     Arg.(value & opt string "cbs+tree" & info [ "scheduler" ] ~docv:"SCHED"
-           ~doc:
-             "fcfs | sjf | edf | value-edf | cbs, each optionally +tree; \
-              fcfs+tree-incr for the incremental SLA-tree fast path")
+           ~doc:"fcfs | sjf | edf | value-edf | cbs, each optionally +tree")
   in
   let dispatcher =
     Arg.(value & opt string "lwl" & info [ "dispatcher" ] ~docv:"DISP"
@@ -1111,10 +1102,8 @@ let serve_cmd =
                 HTTP on ADDR")
   in
   let scheduler =
-    Arg.(value & opt string "fcfs+tree-incr" & info [ "scheduler" ] ~docv:"SCHED"
-           ~doc:
-             "fcfs | sjf | edf | value-edf | cbs, each optionally +tree; \
-              fcfs+tree-incr for the incremental SLA-tree fast path")
+    Arg.(value & opt string "fcfs+tree" & info [ "scheduler" ] ~docv:"SCHED"
+           ~doc:"fcfs | sjf | edf | value-edf | cbs, each optionally +tree")
   in
   let dispatcher =
     Arg.(value & opt string "tree-fcfs" & info [ "dispatcher" ] ~docv:"DISP"

@@ -21,21 +21,18 @@ let workload () =
     (Trace.config ~kind:Workloads.Exp ~profile:Workloads.Sla_b ~load
        ~servers:n_servers ~n_queries ~seed ())
 
-(* One full run of the incremental SLA-tree pipeline under a fault
-   plan; the injector rides the simulator's [timers] hook. *)
+(* One full run of the FCFS SLA-tree pipeline under a fault plan;
+   the injector rides the simulator's [timers] hook. *)
 let run ~plan =
   let queries = workload () in
   let injector = Fault.create ~plan () in
   let metrics = Metrics.create ~warmup_id:(n_queries / 5) () in
-  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
-  let on_server_event ~sid ~now ev =
-    Fault.on_server_event injector ~sid ~now ev;
-    match hook with Some h -> h ~sid ~now ev | None -> ()
-  in
   Sim.run
     ~timers:(Fault.timers injector)
-    ~on_server_event ~queries ~n_servers ~pick_next
-    ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+    ~on_server_event:(Fault.on_server_event injector)
+    ~queries ~n_servers
+    ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
+    ~dispatch:(Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs))
     ~metrics ();
   Fault.finalize injector metrics;
   (metrics, Fault.stats injector)

@@ -26,12 +26,11 @@ let margin ~now q (d : Sim.decision) =
 (* The one shared run configuration: SLA-tree dispatching over
    [planner]-ordered buffers, [scheduler] picking next, fresh metrics.
    Both the estimation pass and the ground-truth replays go through
-   here, so they cannot drift apart (and stateful schedulers get their
-   per-run server-event hook installed exactly once). *)
+   here, so they cannot drift apart. *)
 let run_sim ?on_dispatch ~queries ~n_servers ~planner ~scheduler ~warmup_id () =
   let metrics = Metrics.create ~warmup_id () in
-  let pick_next, hook = Schedulers.instantiate scheduler in
-  Sim.run ?on_dispatch ?on_server_event:hook ~queries ~n_servers ~pick_next
+  Sim.run ?on_dispatch ~queries ~n_servers
+    ~pick_next:(Schedulers.pick scheduler)
     ~dispatch:(Dispatchers.instantiate (Dispatchers.sla_tree planner))
     ~metrics ();
   metrics

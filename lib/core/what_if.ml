@@ -43,39 +43,6 @@ let best_rush tree =
   done;
   !best
 
-(* [best_rush] against a live incremental tree: same argmax, same
-   tie-breaking, but the postpone questions run over the maintained
-   structure instead of a freshly built one. The rush origin is the
-   head's true start, which at a scheduling point equals the decision
-   time (the head was just popped there). *)
-let best_rush_incr tree =
-  let n = Incr_sla_tree.length tree in
-  if n = 0 then None
-  else begin
-    let entries = Incr_sla_tree.to_entries tree in
-    let origin = entries.(0).Schedule.start in
-    let best_i = ref 0 and best_gain = ref 0.0 in
-    for i = 1 to n - 1 do
-      let e = entries.(i) in
-      let q = e.Schedule.query in
-      let own =
-        Query.profit_at q ~completion:(origin +. q.Query.est_size)
-        -. Query.profit_at q ~completion:(Schedule.completion e)
-      in
-      let tau = q.Query.est_size in
-      let loss =
-        if tau = 0.0 then 0.0
-        else Incr_sla_tree.postpone tree ~m:0 ~n:(i - 1) ~tau
-      in
-      let g = own -. loss in
-      if g > !best_gain then begin
-        best_i := i;
-        best_gain := g
-      end
-    done;
-    Some (!best_i, !best_gain)
-  end
-
 (* Net profit change of inserting [query] at buffer position [pos]
    (Sec 6.2): the newcomer's own profit at its would-be completion,
    minus the loss from postponing every query at positions [pos..N-1]

@@ -14,10 +14,6 @@ val rush_net_gain : Sla_tree.t -> int -> float
     [None] on an empty buffer. *)
 val best_rush : Sla_tree.t -> (int * float) option
 
-(** {!best_rush} over a live {!Incr_sla_tree} — identical answers and
-    tie-breaking, without the per-decision rebuild. *)
-val best_rush_incr : Incr_sla_tree.t -> (int * float) option
-
 (** Net profit change of inserting [query] at buffer position [pos]:
     the newcomer's own profit minus the displaced queries' postpone
     loss (Sec 6.2). [pos] may equal the buffer length (append). *)

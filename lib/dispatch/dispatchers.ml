@@ -257,34 +257,14 @@ let argmax_profit ~admission profit_of sim q =
     { Sim.target = None; est_delta = Some !best_delta }
   else { Sim.target = Some !best; est_delta = Some !best_delta }
 
-let sla_tree_with ~name profit_of ~admission =
-  { name; make = (fun () -> argmax_profit ~admission profit_of) }
-
-(* The candidate loop memoizes per-server trees whenever the planner's
-   order cannot depend on the decision time; [?memo:false] forces the
-   historical rebuild-per-candidate behavior (the test oracle), and
-   CBS-style time-dependent planners fall back to it on their own. *)
-let sla_tree ?(admission = false) ?(memo = true) ?impl planner =
-  let name = if admission then "SLA-tree+AC" else "SLA-tree" in
-  if memo && Planner.time_invariant planner then
-    {
-      name;
-      make =
-        (fun () ->
-          argmax_profit ~admission (cached_insertion_profit ?impl planner));
-    }
-  else sla_tree_with ~name (insertion_profit ?impl planner) ~admission
-
-(* The incremental FCFS fast path. Under FCFS the newcomer always
-   ranks last ([insertion_rank] = N), so [What_if.insertion_delta]
-   postpones nobody: the what-if collapses to the newcomer's own
-   profit at the end of the server's estimated schedule. That tail is
-   exactly [now + est_work_left] — the accumulator the simulator
-   already maintains per server — so each server's answer is O(1) and
-   the per-arrival, per-server [Sla_tree.build] disappears entirely.
-   Same answers as [sla_tree Planner.fcfs], including on heterogeneous
-   farms (the schedule tail and the newcomer's execution time are both
-   speed-scaled, like [insertion_profit]'s scaled copies). *)
+(* Under FCFS the newcomer always ranks last, so
+   [What_if.insertion_delta] postpones nobody: the what-if collapses to
+   the newcomer's own profit at the end of the server's estimated
+   schedule. That tail is exactly [now + est_work_left], the
+   accumulator the simulator already maintains per server, so each
+   server's answer is O(1) and needs no tree. Heterogeneous farms are
+   covered: the schedule tail and the newcomer's execution time are
+   both speed-scaled, like [insertion_profit]'s scaled copies. *)
 let insertion_profit_fcfs sim sid q =
   let srv = Sim.server sim sid in
   Query.profit_at q
@@ -293,7 +273,20 @@ let insertion_profit_fcfs sim sid q =
       +. Sim.est_work_left sim srv
       +. (q.Query.est_size /. srv.Sim.speed))
 
-let fcfs_sla_tree_incr ?(admission = false) () =
-  sla_tree_with
-    ~name:(if admission then "SLA-tree+AC(incr)" else "SLA-tree(incr)")
-    insertion_profit_fcfs ~admission
+(* The candidate loop takes the cheapest route the planner allows: the
+   closed form above when the newcomer ranks last, per-server memoized
+   trees when the planned order cannot depend on the decision time,
+   and a rebuild per candidate otherwise (CBS). [?memo:false] forces
+   the rebuild-per-candidate path, the test oracle. *)
+let sla_tree ?(admission = false) ?(memo = true) ?impl planner =
+  let name = if admission then "SLA-tree+AC" else "SLA-tree" in
+  let make () =
+    let profit_of =
+      if memo && Planner.ranks_newcomer_last planner then insertion_profit_fcfs
+      else if memo && Planner.time_invariant planner then
+        cached_insertion_profit ?impl planner
+      else insertion_profit ?impl planner
+    in
+    argmax_profit ~admission profit_of
+  in
+  { name; make }

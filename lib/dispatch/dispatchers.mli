@@ -38,26 +38,24 @@ val insertion_profit :
   Query.t ->
   float
 
+(** O(1)-per-server profit of appending [q] to server [sid]'s FCFS
+    schedule: under FCFS the newcomer ranks last and postpones nobody,
+    so the what-if is its own profit at [now + est_work_left +
+    est_size/speed]. *)
+val insertion_profit_fcfs : Sim.t -> int -> Query.t -> float
+
 (** SLA-tree dispatching: argmax of {!insertion_profit} over servers
     (exact profit ties fall back to least work left); reports the
     chosen delta through [est_delta]. With [admission], queries whose
     best delta is negative are rejected.
 
-    For time-invariant planners the candidate loop memoizes one
-    SLA-tree per server, keyed on the server's event generation and
-    anchor time, rebuilding only when the server actually changed —
-    identical decisions to the rebuild-per-candidate path.
-    [?memo:false] disables the cache (the equivalence oracle); [?impl]
-    selects the tree representation. *)
+    The route follows the planner. When the newcomer ranks last
+    ({!Planner.ranks_newcomer_last}, i.e. FCFS), each server answers
+    through {!insertion_profit_fcfs} without any tree. Other
+    time-invariant planners memoize one SLA-tree per server, keyed on
+    the server's event generation and anchor time, and rebuild only
+    when the server changed. CBS rebuilds per candidate. Every route
+    makes the same decisions. [?memo:false] forces the
+    rebuild-per-candidate path (the equivalence oracle); [?impl]
+    selects the tree representation wherever a tree is built. *)
 val sla_tree : ?admission:bool -> ?memo:bool -> ?impl:Sla_tree.impl -> Planner.t -> t
-
-(** O(1)-per-server profit of appending [q] to server [sid]'s FCFS
-    schedule: under FCFS the newcomer ranks last and postpones nobody,
-    so the what-if is its own profit at [now + est_work_left +
-    est_size/speed] (exposed for tests). *)
-val insertion_profit_fcfs : Sim.t -> int -> Query.t -> float
-
-(** [sla_tree Planner.fcfs] without any per-decision tree build:
-    {!insertion_profit_fcfs} answers each server's what-if from the
-    incrementally maintained backlog accumulator. Identical picks. *)
-val fcfs_sla_tree_incr : ?admission:bool -> unit -> t

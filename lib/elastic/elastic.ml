@@ -693,8 +693,8 @@ let summary c =
   }
 
 (* ------------------------------------------------------------------ *)
-(* One-call harness: incremental FCFS SLA-tree scheduling and
-   dispatching (the O(1) fast path, whose [est_delta] feeds the margin
+(* One-call harness: FCFS SLA-tree scheduling and dispatching (the
+   dispatcher's O(1) FCFS route, whose [est_delta] feeds the margin
    probe), the controller on the ticker, the drop policy of footnote 2
    unless overridden. *)
 
@@ -746,18 +746,15 @@ let run ?(obs = Obs.noop) ?timeseries ?(policy = sla_tree_policy) ?drop_policy
     ~config:cfg ~queries ~n_servers ~warmup_id () =
   let c = create ~obs cfg policy ~initial_servers:n_servers in
   let metrics = Metrics.create ~warmup_id () in
-  let pick_next, hook =
-    Schedulers.instantiate ~obs Schedulers.fcfs_sla_tree_incr
-  in
+  let pick_next = Schedulers.instantiate ~obs Schedulers.fcfs_sla_tree in
   let dispatch =
-    Dispatchers.instantiate ~obs (Dispatchers.fcfs_sla_tree_incr ())
+    Dispatchers.instantiate ~obs (Dispatchers.sla_tree Planner.fcfs)
   in
   let last_event = ref 0.0 in
   let on_server_event ~sid ~now ev =
     if now > !last_event then last_event := now;
     on_server_event c ~sid ~now ev;
-    extra_hook ~sid ~now ev;
-    match hook with Some h -> h ~sid ~now ev | None -> ()
+    extra_hook ~sid ~now ev
   in
   let ticker_body =
     match timeseries with

@@ -1,8 +1,8 @@
 (** Ablation studies beyond the paper's tables: the SLA-tree
     enhancement over every baseline scheduler, the full dispatching
     baseline ladder (Random/RR/SITA/LWL), admission control at
-    overload, the incremental SLA-tree vs full rebuilds, and learned
-    (kNN) execution-time estimates vs perfect ones. *)
+    overload, and learned (kNN) execution-time estimates vs perfect
+    ones. *)
 
 type sched_cell = {
   base_name : string;
@@ -33,16 +33,6 @@ type admission_cell = {
 
 val admission_compute : ?loads:float list -> Exp_scale.t -> admission_cell list
 val admission_run : Format.formatter -> Exp_scale.t -> unit
-
-type incr_result = {
-  buffer_len : int;
-  rebuild_ms_per_cycle : float;
-  incremental_ms_per_cycle : float;
-  rebuilds : int;
-}
-
-val incr_compute : ?buffer_sizes:int list -> seed:int -> unit -> incr_result list
-val incr_run : Format.formatter -> seed:int -> unit -> unit
 
 type predictor_cell = {
   estimates : string;

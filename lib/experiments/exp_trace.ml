@@ -41,20 +41,15 @@ let response_cap = 65_536
 let warmup_id c (stats : Sla_synth.stats) =
   Float.to_int (c.warmup_frac *. Float.of_int stats.Sla_synth.kept)
 
-(* One streamed run. [extra_hook]/[timers]/[ticker]/[on_dispatch] are
-   the fault-injection and elastic attachment points; the arrival path
-   itself is identical for every cell. *)
-let stream_run ?on_dispatch ?extra_hook ?timers ?ticker ~c ~warmup_id
+(* One streamed run. [on_server_event]/[timers]/[ticker]/[on_dispatch]
+   are the fault-injection and elastic attachment points; the arrival
+   path itself is identical for every cell. *)
+let stream_run ?on_dispatch ?on_server_event ?timers ?ticker ~c ~warmup_id
     ~n_servers ~scheduler ~dispatcher () =
   let metrics = Metrics.create ~response_cap ~warmup_id () in
-  let pick_next, hook = Schedulers.instantiate scheduler in
-  let on_server_event ~sid ~now ev =
-    (match extra_hook with Some h -> h ~sid ~now ev | None -> ());
-    match hook with Some h -> h ~sid ~now ev | None -> ()
-  in
   let sess =
-    Sim.session ?on_dispatch ?timers ?ticker ~on_server_event ~n_servers
-      ~pick_next
+    Sim.session ?on_dispatch ?timers ?ticker ?on_server_event ~n_servers
+      ~pick_next:(Schedulers.pick scheduler)
       ~dispatch:(Dispatchers.instantiate dispatcher)
       ~metrics ()
   in
@@ -79,7 +74,7 @@ let schedulers stats =
   let rate = cbs_rate stats in
   [
     ("FCFS", Schedulers.fcfs);
-    ("FCFS+tree", Schedulers.fcfs_sla_tree_incr);
+    ("FCFS+tree", Schedulers.fcfs_sla_tree);
     ("CBS", Schedulers.cbs ~rate);
     ("CBS+tree", Schedulers.cbs_sla_tree ~rate);
   ]
@@ -88,7 +83,7 @@ let dispatchers () =
   [
     ("RR", Dispatchers.round_robin);
     ("LWL", Dispatchers.lwl);
-    ("SLA-tree", Dispatchers.fcfs_sla_tree_incr ());
+    ("SLA-tree", Dispatchers.sla_tree Planner.fcfs);
   ]
 
 type cell = {
@@ -169,20 +164,19 @@ let run_elastic c (stats : Sla_synth.stats) =
   let ecfg = elastic_config c stats in
   let ctl = Elastic.create ecfg Elastic.sla_tree_policy ~initial_servers:c.servers in
   let metrics = Metrics.create ~response_cap ~warmup_id () in
-  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
   let last_event = ref 0.0 in
   let on_server_event ~sid ~now ev =
     if now > !last_event then last_event := now;
-    Elastic.on_server_event ctl ~sid ~now ev;
-    match hook with Some h -> h ~sid ~now ev | None -> ()
+    Elastic.on_server_event ctl ~sid ~now ev
   in
   let sess =
     Sim.session
       ~on_dispatch:(fun ~now q d -> Elastic.on_dispatch ctl ~now q d)
       ~on_server_event
       ~ticker:(ecfg.Elastic.interval, Elastic.tick ctl)
-      ~n_servers:c.servers ~pick_next
-      ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+      ~n_servers:c.servers
+      ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
+      ~dispatch:(Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs))
       ~metrics ()
   in
   Seq.iter (Sim.inject sess) (stream c);
@@ -212,11 +206,11 @@ let run_storm c (stats : Sla_synth.stats) ~spec =
   let injector = Fault.create ~plan () in
   let metrics =
     stream_run
-      ~extra_hook:(Fault.on_server_event injector)
+      ~on_server_event:(Fault.on_server_event injector)
       ~timers:(Fault.timers injector)
       ~c ~warmup_id ~n_servers:c.servers
-      ~scheduler:Schedulers.fcfs_sla_tree_incr
-      ~dispatcher:(Dispatchers.fcfs_sla_tree_incr ())
+      ~scheduler:Schedulers.fcfs_sla_tree
+      ~dispatcher:(Dispatchers.sla_tree Planner.fcfs)
       ()
   in
   Fault.finalize injector metrics;

@@ -21,25 +21,7 @@
 let now_ns () = Monotonic_clock.now ()
 
 (* ------------------------------------------------------------------ *)
-(* Shared JSON helpers (the toolchain has no JSON dependency; the
-   schemas here are flat enough for a hand-rolled writer). *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+(* File output; JSON strings and numbers go through [Jsonx]'s printers. *)
 
 let write_file ~path content =
   let oc = open_out path in
@@ -158,7 +140,7 @@ module Registry = struct
     let entries sep xs render =
       List.iteri
         (fun i (name, v) ->
-          add (Printf.sprintf "    \"%s\": %s%s\n" (json_escape name) (render v)
+          add (Printf.sprintf "    \"%s\": %s%s\n" (Jsonx.escape name) (render v)
                  (if i = List.length xs - 1 then "" else sep)))
         xs
     in
@@ -166,16 +148,16 @@ module Registry = struct
     add "  \"counters\": {\n";
     entries "," (counters t) string_of_int;
     add "  },\n  \"gauges\": {\n";
-    entries "," (gauges t) json_float;
+    entries "," (gauges t) Jsonx.short_float;
     add "  },\n  \"histograms\": {\n";
     entries "," (histograms t) (fun h ->
         Printf.sprintf
           "{\"count\": %d, \"underflow\": %d, \"overflow\": %d, \"p50\": %s, \
            \"p90\": %s, \"p99\": %s}"
           (Histogram.total h) (Histogram.underflow h) (Histogram.overflow h)
-          (json_float (Histogram.percentile h 50.0))
-          (json_float (Histogram.percentile h 90.0))
-          (json_float (Histogram.percentile h 99.0)));
+          (Jsonx.short_float (Histogram.percentile h 50.0))
+          (Jsonx.short_float (Histogram.percentile h 90.0))
+          (Jsonx.short_float (Histogram.percentile h 99.0)));
     add "  }\n}\n";
     Buffer.contents b
 end
@@ -292,9 +274,9 @@ module Trace = struct
     List.rev !out
 
   let value_json = function
-    | F f -> json_float f
+    | F f -> Jsonx.short_float f
     | I i -> string_of_int i
-    | S s -> Printf.sprintf "\"%s\"" (json_escape s)
+    | S s -> Printf.sprintf "\"%s\"" (Jsonx.escape s)
 
   let args_json args =
     if args = [] then ""
@@ -303,7 +285,7 @@ module Trace = struct
         (String.concat ", "
            (List.map
               (fun (k, v) ->
-                Printf.sprintf "\"%s\": %s" (json_escape k) (value_json v))
+                Printf.sprintf "\"%s\": %s" (Jsonx.escape k) (value_json v))
               args))
 
   let event_json e =
@@ -313,7 +295,7 @@ module Trace = struct
       Printf.sprintf
         "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"B\", \"ts\": %.3f, \
          \"pid\": 1, \"tid\": %d%s}"
-        (json_escape e.name) (json_escape e.cat) ts_us e.tid (args_json e.args)
+        (Jsonx.escape e.name) (Jsonx.escape e.cat) ts_us e.tid (args_json e.args)
     | End ->
       Printf.sprintf "{\"ph\": \"E\", \"ts\": %.3f, \"pid\": 1, \"tid\": %d}"
         ts_us e.tid
@@ -321,7 +303,7 @@ module Trace = struct
       Printf.sprintf
         "{\"name\": \"%s\", \"cat\": \"%s\", \"ph\": \"i\", \"s\": \"t\", \
          \"ts\": %.3f, \"pid\": 1, \"tid\": %d%s}"
-        (json_escape e.name) (json_escape e.cat) ts_us e.tid (args_json e.args)
+        (Jsonx.escape e.name) (Jsonx.escape e.cat) ts_us e.tid (args_json e.args)
 
   let to_chrome_json t =
     let b = Buffer.create 4096 in
@@ -440,13 +422,13 @@ module Timeseries = struct
     let b = Buffer.create 1024 in
     let add = Buffer.add_string b in
     add "{\n  \"schema\": \"slatree-timeseries/1\",\n  \"columns\": [\"t\"";
-    Array.iter (fun c -> add (Printf.sprintf ", \"%s\"" (json_escape c))) t.columns;
+    Array.iter (fun c -> add (Printf.sprintf ", \"%s\"" (Jsonx.escape c))) t.columns;
     add "],\n  \"rows\": [\n";
     let k = Array.length t.columns in
     for i = 0 to t.n - 1 do
-      add (Printf.sprintf "    [%s" (json_float t.times.(i)));
+      add (Printf.sprintf "    [%s" (Jsonx.short_float t.times.(i)));
       for j = 0 to k - 1 do
-        add (Printf.sprintf ", %s" (json_float t.values.((i * k) + j)))
+        add (Printf.sprintf ", %s" (Jsonx.short_float t.values.((i * k) + j)))
       done;
       add (if i = t.n - 1 then "]\n" else "],\n")
     done;

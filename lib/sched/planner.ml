@@ -13,6 +13,9 @@ type t = {
   time_invariant : bool;
       (* whether the permutation is independent of [now]; probe caches
          may only reuse a planned order across arrivals when true *)
+  ranks_newcomer_last : bool;
+      (* whether a newcomer always ranks after the whole buffer, so its
+         insertion postpones nobody and the what-if needs no tree *)
   keys : (now:float -> Query.t -> float * float) option;
       (* for planners that are a stable sort on a lexicographic float
          pair: the sort key. Enables O(log n) insertion ranking over an
@@ -21,6 +24,7 @@ type t = {
 
 let name t = t.name
 let time_invariant t = t.time_invariant
+let ranks_newcomer_last t = t.ranks_newcomer_last
 
 let plan t ~now buffer =
   let perm = t.permutation ~now buffer in
@@ -49,6 +53,7 @@ let fcfs =
     name = "FCFS";
     permutation = (fun ~now:_ b -> Array.init (Array.length b) Fun.id);
     time_invariant = true;
+    ranks_newcomer_last = true;
     (* identity order = a stable sort on a constant key: everything
        ties, and the newcomer (latest arrival) loses every tie, so the
        sorted insertion rank correctly lands at the end. *)
@@ -60,6 +65,7 @@ let sjf =
     name = "SJF";
     permutation = by_key (fun ~now:_ q -> q.Query.est_size);
     time_invariant = true;
+    ranks_newcomer_last = false;
     keys = Some (fun ~now:_ q -> (q.Query.est_size, 0.0));
   }
 
@@ -68,6 +74,7 @@ let edf =
     name = "EDF";
     permutation = by_key (fun ~now:_ q -> Query.first_deadline q);
     time_invariant = true;
+    ranks_newcomer_last = false;
     keys = Some (fun ~now:_ q -> (Query.first_deadline q, 0.0));
   }
 
@@ -101,6 +108,7 @@ let value_edf =
     name = "Value-EDF";
     permutation = by_key_pair value_edf_key;
     time_invariant = true;
+    ranks_newcomer_last = false;
     keys = Some value_edf_key;
   }
 
@@ -123,6 +131,7 @@ let cbs ~rate =
        order can change between arrivals with no server event at all:
        never cache a CBS plan. *)
     time_invariant = false;
+    ranks_newcomer_last = false;
     keys = Some (fun ~now q -> (-.cbs_priority ~rate ~now q, 0.0));
   }
 

@@ -14,6 +14,12 @@ val name : t -> string
     true (CBS is the time-dependent exception). *)
 val time_invariant : t -> bool
 
+(** Whether a newcomer always ranks after the whole buffer (FCFS).
+    Inserting it then postpones nobody, so the insertion what-if is
+    the newcomer's own profit at the end of the schedule and needs no
+    SLA-tree. *)
+val ranks_newcomer_last : t -> bool
+
 (** [plan t ~now buffer] is the permutation: [perm.(k)] is the buffer
     index of the k-th query to execute. *)
 val plan : t -> now:float -> Query.t array -> int array

@@ -3,16 +3,9 @@
    A baseline scheduler simply runs the head of its planner's order.
    The SLA-tree enhancement (paper Sec 6.1) builds an SLA-tree over the
    planned order and rushes the query with the best net profit gain:
-     argmax_i  own_gain(q_i) - postpone(0, i-1, est_size_i).
+     argmax_i  own_gain(q_i) - postpone(0, i-1, est_size_i). *)
 
-   Stateless schedulers share one closure; the incremental FCFS
-   variant carries per-run state (one live Incr_sla_tree per server)
-   and must be wired to [Sim.run]'s [on_server_event] — hence the
-   [instantiate] pattern below. *)
-
-type hook = sid:int -> now:float -> Sim.server_event -> unit
-
-type t = { name : string; make : Obs.t -> Sim.pick_next * hook option }
+type t = { name : string; pick : Sim.pick_next }
 
 let name t = t.name
 
@@ -33,42 +26,30 @@ let timed obs pick =
       i
   end
 
-let instantiate ?(obs = Obs.noop) t =
-  let pick, hook = t.make obs in
-  (timed obs pick, hook)
+let instantiate ?(obs = Obs.noop) t = timed obs t.pick
 
-let pick t = fst (t.make Obs.noop)
-
-let stateless name pick = { name; make = (fun _obs -> (pick, None)) }
+let pick t = t.pick
 
 let of_planner planner =
-  stateless (Planner.name planner) (fun ~now buffer ->
-      let perm = Planner.plan planner ~now buffer in
-      perm.(0))
+  {
+    name = Planner.name planner;
+    pick =
+      (fun ~now buffer ->
+        let perm = Planner.plan planner ~now buffer in
+        perm.(0));
+  }
 
 let with_sla_tree ?impl planner =
-  stateless
-    (Planner.name planner ^ "+SLA-tree")
-    (fun ~now buffer ->
-      let perm = Planner.plan planner ~now buffer in
-      let planned = Array.map (fun i -> buffer.(i)) perm in
-      let tree = Sla_tree.build ?impl ~now planned in
-      match What_if.best_rush tree with
-      | None -> invalid_arg "Schedulers.with_sla_tree: empty buffer"
-      | Some (i, _gain) -> perm.(i))
-
-(* The incremental fast path: FCFS keeps the planned order equal to
-   the buffer order, so a per-server Incr_sla_tree tracks the schedule
-   across decisions (pop on completion, append on dispatch) and the
-   rush decision skips the per-decision rebuild. Picks are identical
-   to [with_sla_tree Planner.fcfs]. *)
-let fcfs_sla_tree_incr =
   {
-    name = "FCFS+SLA-tree(incr)";
-    make =
-      (fun obs ->
-        let st = Incr_sched.create ~obs () in
-        (Incr_sched.pick st, Some (Incr_sched.hook st)));
+    name = Planner.name planner ^ "+SLA-tree";
+    pick =
+      (fun ~now buffer ->
+        let perm = Planner.plan planner ~now buffer in
+        let planned = Array.map (fun i -> buffer.(i)) perm in
+        let tree = Sla_tree.build ?impl ~now planned in
+        match What_if.best_rush tree with
+        | None -> invalid_arg "Schedulers.with_sla_tree: empty buffer"
+        | Some (i, _gain) -> perm.(i));
   }
 
 let fcfs = of_planner Planner.fcfs

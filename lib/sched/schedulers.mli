@@ -2,32 +2,19 @@
 
     Baselines execute the head of their planner's order; SLA-tree
     variants re-rank the whole buffer through the what-if analysis of
-    paper Sec 6.1 on every decision.
-
-    Stateless policies can be used through {!pick} directly. Stateful
-    ones (the incremental SLA-tree variant) must go through
-    {!instantiate}, which returns a fresh pick function per run plus
-    the server-event hook to pass as [Sim.run]'s [on_server_event]. *)
-
-type hook = sid:int -> now:float -> Sim.server_event -> unit
+    paper Sec 6.1 on every decision. Every scheduler is stateless. *)
 
 type t
 
 val name : t -> string
 
-(** Fresh per-run pick function, plus the event hook the run must
-    install when present ([None] for stateless schedulers). When [obs]
-    is an enabled sink, the pick is wrapped to record per-decision
-    latency ([sched.decision_ns] histogram, [sched.decisions] counter)
-    and the incremental variant reports its SLA-tree and what-if probe
-    counters; over the default {!Obs.noop} the unwrapped pick is
-    returned. *)
-val instantiate : ?obs:Obs.t -> t -> Sim.pick_next * hook option
+(** The pick function, ready for [Sim.run]. When [obs] is an enabled
+    sink, the pick is wrapped to record per-decision latency
+    ([sched.decision_ns] histogram, [sched.decisions] counter); over
+    the default {!Obs.noop} the unwrapped pick is returned. *)
+val instantiate : ?obs:Obs.t -> t -> Sim.pick_next
 
-(** Convenience for stateless schedulers: [fst (instantiate t)].
-    For {!fcfs_sla_tree_incr} this still makes correct decisions —
-    without its hook every decision reconstructs the tree, i.e. it
-    degrades to the rebuild-per-decision path. *)
+(** [instantiate t] without instrumentation. *)
 val pick : t -> Sim.pick_next
 
 (** Run the head of the planner's order. *)
@@ -37,12 +24,6 @@ val of_planner : Planner.t -> t
     the planner's order. [?impl] picks the tree representation
     (equivalence suites pit flat against boxed here). *)
 val with_sla_tree : ?impl:Sla_tree.impl -> Planner.t -> t
-
-(** [with_sla_tree Planner.fcfs] without the per-decision rebuild: one
-    live [Incr_sla_tree] per server follows the buffer across
-    decisions ([pop_head] on completion, [append] on dispatch,
-    [reset_origin] on idle gaps). Identical picks, amortized cost. *)
-val fcfs_sla_tree_incr : t
 
 val fcfs : t
 val sjf : t

@@ -69,8 +69,8 @@ type server = {
           across arrivals. *)
 }
 
-(* Per-server life-cycle notifications, consumed by incremental
-   scheduler state (one live Incr_sla_tree per server). Within one
+(* Per-server life-cycle notifications, consumed by controllers, fault
+   injectors and the serving daemon. Within one
    completion the order is: Finished, Dropped*, [pick_next], Started;
    an arrival emits Enqueued (busy server) or Started (idle server).
    Pool membership changes emit Scaled_up (server added), Draining

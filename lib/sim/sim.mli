@@ -50,8 +50,8 @@ type server = {
           per-server SLA-trees on it. *)
 }
 
-(** Per-server life-cycle notifications (consumed by incremental
-    scheduler state, e.g. one live [Incr_sla_tree] per server).
+(** Per-server life-cycle notifications (consumed by the elastic
+    controller, fault injectors and the serving daemon).
     Within one completion the order is: [Finished], zero or more
     [Dropped], the [pick_next] call, then [Started] for the chosen
     query. An arrival emits [Enqueued] (busy server) or [Started]
@@ -211,8 +211,8 @@ val drop_past_last_deadline : now:float -> Query.t -> bool
     every dispatch decision (capacity planning and the elastic
     controller hook in here); [on_complete] observes every completion
     (per-class breakdowns hook in here). [on_server_event] observes the
-    per-server buffer life cycle (incremental scheduler state hooks in
-    here — see {!Schedulers.instantiate}). [speeds] makes the initial
+    per-server buffer life cycle (controllers and fault injectors hook
+    in here). [speeds] makes the initial
     farm heterogeneous (Sec 6.2's claim): one positive rate per server,
     execution takes [size/speed]. [drop_policy ~now q = true] abandons
     buffered query [q] at a scheduling point instead of ever executing

@@ -232,6 +232,9 @@ let escape s =
     s;
   Buffer.contents b
 
+let short_float f =
+  if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
+
 let to_string v =
   let b = Buffer.create 256 in
   let rec go = function

@@ -39,3 +39,13 @@ val to_list : t -> t list option
     non-finite) — shared by every hand-rolled writer that needs
     round-trip-exact floats. *)
 val float_literal : float -> string
+
+(** Body of a JSON string literal: quotes, backslashes and control
+    characters escaped. The one string escaper behind every
+    hand-rolled writer. *)
+val escape : string -> string
+
+(** Short float literal for reports, [%.6g] ([null] when non-finite):
+    the number format of metric snapshots, traces, time series and
+    the bench's results file. *)
+val short_float : float -> string

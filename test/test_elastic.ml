@@ -144,8 +144,8 @@ let run_instrumented ~queries ~config ~policy ~n_servers =
   let violations = ref [] in
   let c = Elastic.create config policy ~initial_servers:n_servers in
   let metrics = Metrics.create ~warmup_id:0 () in
-  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
-  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
+  let pick_next = Schedulers.pick Schedulers.fcfs_sla_tree in
+  let dispatch = Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs) in
   let on_server_event ~sid ~now ev =
     (match ev with
     | Sim.Draining -> Hashtbl.replace drained sid ()
@@ -160,8 +160,7 @@ let run_instrumented ~queries ~config ~policy ~n_servers =
     | Sim.Dropped q -> dropped.(q.Query.id) <- dropped.(q.Query.id) + 1
     | Sim.Finished _ | Sim.Scaled_up -> ()
     | Sim.Crashed | Sim.Degraded _ | Sim.Restored -> ());
-    Elastic.on_server_event c ~sid ~now ev;
-    match hook with Some h -> h ~sid ~now ev | None -> ()
+    Elastic.on_server_event c ~sid ~now ev
   in
   Sim.run
     ~on_dispatch:(fun ~now q d -> Elastic.on_dispatch c ~now q d)
@@ -211,14 +210,13 @@ let test_conservation_with_drop_policy () =
   let dropped = Array.make n 0 in
   let c = Elastic.create config Elastic.sla_tree_policy ~initial_servers:3 in
   let metrics = Metrics.create ~warmup_id:0 () in
-  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
-  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
+  let pick_next = Schedulers.pick Schedulers.fcfs_sla_tree in
+  let dispatch = Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs) in
   let on_server_event ~sid ~now ev =
     (match ev with
     | Sim.Dropped q -> dropped.(q.Query.id) <- dropped.(q.Query.id) + 1
     | _ -> ());
-    Elastic.on_server_event c ~sid ~now ev;
-    match hook with Some h -> h ~sid ~now ev | None -> ()
+    Elastic.on_server_event c ~sid ~now ev
   in
   Sim.run ~drop_policy:Sim.drop_past_last_deadline
     ~on_dispatch:(fun ~now q d -> Elastic.on_dispatch c ~now q d)
@@ -335,12 +333,9 @@ let test_typed_pool_billing () =
   let queries = bursty_queries () in
   let c = Elastic.create config Elastic.sla_tree_policy ~initial_servers:3 in
   let metrics = Metrics.create ~warmup_id:0 () in
-  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
-  let dispatch = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()) in
-  let on_server_event ~sid ~now ev =
-    Elastic.on_server_event c ~sid ~now ev;
-    match hook with Some h -> h ~sid ~now ev | None -> ()
-  in
+  let pick_next = Schedulers.pick Schedulers.fcfs_sla_tree in
+  let dispatch = Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs) in
+  let on_server_event = Elastic.on_server_event c in
   let last = ref 0.0 in
   let tick sim =
     last := Sim.now sim;

@@ -1,8 +1,10 @@
-(* Incremental-vs-rebuild equivalence: the ISSUE's contract is that the
-   incremental SLA-tree scheduler and the O(1) FCFS dispatcher make
-   exactly the same decisions as the rebuild-per-decision paths they
-   replace. Both paths are driven inside one simulation run, so every
-   single decision is compared on identical state. *)
+(* Equivalence licences: every fast decision path must make exactly
+   the decisions of the slow path it stands in for. The SLA-tree
+   scheduler's picks are checked against a brute-force what-if oracle,
+   the O(1) FCFS dispatch route against the rebuild-per-candidate boxed
+   tree, and the memoized flat dispatcher against the same oracle. Both
+   sides are driven inside one simulation run, so every single decision
+   is compared on identical state. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -17,65 +19,84 @@ let trace ~kind ~sigma2 ~load ~servers ~n_queries ~seed =
        ~n_queries ~seed ())
 
 (* ------------------------------------------------------------------ *)
-(* Scheduler: Incr_sched vs Schedulers.fcfs_sla_tree (rebuild). *)
+(* Scheduler: Schedulers.fcfs_sla_tree vs a brute-force oracle. *)
 
-(* Runs one simulation where each scheduling decision is answered by
-   the live incremental tree AND recomputed from scratch; returns
-   (decisions, mismatches, state) so callers can also assert on the
-   fast/rebuilt counters. *)
+(* Net gain of rushing each buffered query to the front, every postpone
+   answered by re-evaluating each SLA at its shifted completion
+   ([Naive_whatif]) instead of by the tree. *)
+let naive_rush_gains ~now buffer =
+  let entries = Schedule.of_queries ~now buffer in
+  Array.mapi
+    (fun i e ->
+      if i = 0 then 0.0
+      else begin
+        let q = e.Schedule.query in
+        let tau = q.Query.est_size in
+        let own =
+          Query.profit_at q ~completion:(now +. tau)
+          -. Query.profit_at q ~completion:(Schedule.completion e)
+        in
+        let loss =
+          if tau = 0.0 then 0.0
+          else Naive_whatif.postpone_by_recompute entries ~m:0 ~n:(i - 1) ~tau
+        in
+        own -. loss
+      end)
+    entries
+
+(* The two sums add the same profit terms in different orders, so a
+   pick counts as a mismatch only when the oracle finds a rush better
+   by more than float noise. *)
+let tolerance = 1e-6
+
+(* Runs one simulation where each scheduling decision of the SLA-tree
+   scheduler is checked against the oracle's best rush; returns
+   (decisions, mismatches). *)
 let run_scheduler_both ?drop_policy ?ticker ~queries ~servers () =
-  let st = Incr_sched.create () in
-  let rebuild = Schedulers.pick Schedulers.fcfs_sla_tree in
+  let tree = Schedulers.pick Schedulers.fcfs_sla_tree in
   let decisions = ref 0 and mismatches = ref 0 in
   let pick ~now buffer =
-    let a = Incr_sched.pick st ~now buffer in
-    let b = rebuild ~now buffer in
+    let i = tree ~now buffer in
+    let gains = naive_rush_gains ~now buffer in
+    let best = Array.fold_left Float.max neg_infinity gains in
     incr decisions;
-    if a <> b then incr mismatches;
-    a
+    if gains.(i) < best -. tolerance then incr mismatches;
+    i
   in
   let metrics = Metrics.create ~warmup_id:0 () in
-  Sim.run ?drop_policy ?ticker
-    ~on_server_event:(Incr_sched.hook st)
-    ~queries ~n_servers:servers ~pick_next:pick
+  Sim.run ?drop_policy ?ticker ~queries ~n_servers:servers ~pick_next:pick
     ~dispatch:(Dispatchers.instantiate Dispatchers.lwl)
     ~metrics ();
-  (!decisions, !mismatches, st)
+  (!decisions, !mismatches)
 
 let test_scheduler_equiv_exp () =
   let queries =
     trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:0.95 ~servers:3
       ~n_queries:1_500 ~seed:101
   in
-  let decisions, mismatches, st = run_scheduler_both ~queries ~servers:3 () in
+  let decisions, mismatches = run_scheduler_both ~queries ~servers:3 () in
   check_bool "made decisions" true (decisions > 500);
-  check_int "no pick mismatches" 0 mismatches;
-  check_bool
-    (Printf.sprintf "fast path dominates (%d fast vs %d rebuilt)"
-       (Incr_sched.fast_decisions st)
-       (Incr_sched.rebuilt_decisions st))
-    true
-    (Incr_sched.fast_decisions st > Incr_sched.rebuilt_decisions st)
+  check_int "no pick mismatches" 0 mismatches
 
 let test_scheduler_equiv_pareto () =
   (* Heavy-tailed sizes plus estimation error: completions drift far
-     from the estimates, exercising pop_head's delay absorption. *)
+     from the estimates, so buffers deepen and rushes pay off. *)
   let queries =
     trace ~kind:Workloads.Pareto ~sigma2:1.0 ~load:1.05 ~servers:2
       ~n_queries:1_500 ~seed:202
   in
-  let decisions, mismatches, _ = run_scheduler_both ~queries ~servers:2 () in
+  let decisions, mismatches = run_scheduler_both ~queries ~servers:2 () in
   check_bool "made decisions" true (decisions > 500);
   check_int "no pick mismatches" 0 mismatches
 
 let test_scheduler_equiv_with_drops () =
-  (* Overload with the drop policy on: Dropped events dirty the live
-     trees and force the reconstruct path; picks must still agree. *)
+  (* Overload with the drop policy on: buffers shrink mid-run and the
+     picks must still be optimal rushes. *)
   let queries =
     trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:1.6 ~servers:2
       ~n_queries:1_200 ~seed:303
   in
-  let _, mismatches, _ =
+  let _, mismatches =
     run_scheduler_both ~drop_policy:Sim.drop_past_last_deadline ~queries
       ~servers:2 ()
   in
@@ -89,39 +110,37 @@ let prop_scheduler_equiv_random_seeds =
       let queries =
         trace ~kind ~sigma2:0.2 ~load:1.0 ~servers:2 ~n_queries:1_000 ~seed
       in
-      let _, mismatches, _ = run_scheduler_both ~queries ~servers:2 () in
+      let _, mismatches = run_scheduler_both ~queries ~servers:2 () in
       mismatches = 0)
 
 let test_scheduler_end_to_end_metrics_equal () =
-  (* Whole-trajectory check through the public Schedulers API: the
-     incremental variant (with its hook installed) must reproduce the
-     rebuild variant's metrics bit-for-bit. *)
+  (* Whole-trajectory check through the public API: the same SLA-tree
+     stack run over an enabled [Obs] sink (instrumented pick, dispatch
+     and event loop) must reproduce the bare run's metrics bit-for-bit.
+     Observing never decides. *)
   let queries =
     trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:0.95 ~servers:3
       ~n_queries:1_500 ~seed:404
   in
-  let run sched =
+  let run obs =
     let metrics = Metrics.create ~warmup_id:500 () in
-    let pick_next, hook = Schedulers.instantiate sched in
-    Sim.run ?on_server_event:hook ~queries ~n_servers:3 ~pick_next
-      ~dispatch:(Dispatchers.instantiate Dispatchers.lwl)
+    Sim.run ~obs ~queries ~n_servers:3
+      ~pick_next:(Schedulers.instantiate ~obs Schedulers.fcfs_sla_tree)
+      ~dispatch:
+        (Dispatchers.instantiate ~obs (Dispatchers.sla_tree Planner.fcfs))
       ~metrics ();
     metrics
   in
-  let a = run Schedulers.fcfs_sla_tree in
-  let b = run Schedulers.fcfs_sla_tree_incr in
+  let a = run Obs.noop in
+  let b = run (Obs.create ()) in
   Alcotest.(check (float 0.0))
     "identical avg loss" (Metrics.avg_loss a) (Metrics.avg_loss b);
   Alcotest.(check (float 0.0))
     "identical avg response" (Metrics.avg_response a) (Metrics.avg_response b);
   check_int "identical late count" (Metrics.late_count a) (Metrics.late_count b)
 
-(* ------------------------------------------------------------------ *)
-(* Dispatcher: fcfs_sla_tree_incr vs sla_tree Planner.fcfs. *)
-
 (* A scripted elasticity scenario for the ?ticker hook: grow the pool
-   twice, then drain two servers (redistributing their buffers), so
-   the incremental state must survive membership changes. *)
+   twice, then drain two servers (redistributing their buffers). *)
 let scale_script () =
   let n = ref 0 in
   fun sim ->
@@ -145,11 +164,15 @@ let test_scheduler_equiv_elastic () =
     trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:1.1 ~servers:3
       ~n_queries:1_500 ~seed:808
   in
-  let decisions, mismatches, _ =
+  let decisions, mismatches =
     run_scheduler_both ~ticker:(400.0, scale_script ()) ~queries ~servers:3 ()
   in
   check_bool "made decisions" true (decisions > 500);
   check_int "no pick mismatches across scale events" 0 mismatches
+
+(* ------------------------------------------------------------------ *)
+(* Dispatcher: the O(1) FCFS route of [sla_tree Planner.fcfs] vs the
+   rebuild-per-candidate boxed tree. *)
 
 (* Satellite invariant of the rejection accounting: whenever the run
    is quiescent, every offered query was either admitted or rejected —
@@ -158,20 +181,37 @@ let check_balance m =
   check_int "offered = admitted + rejected" (Metrics.offered_count m)
     (Metrics.admitted_count m + Metrics.rejected_count m)
 
-let run_dispatcher_both ?speeds ?ticker ~admission ~queries ~servers () =
-  let d_incr = Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ~admission ()) in
-  let d_tree = Dispatchers.instantiate (Dispatchers.sla_tree ~admission Planner.fcfs) in
+let same_delta a b =
+  match (a, b) with
+  | Some x, Some y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | None, None -> true
+  | Some _, None | None, Some _ -> false
+
+(* [sla_tree planner] against the rebuild-per-candidate boxed oracle,
+   the same planner scheduling. A decision mismatches when the targets
+   differ or the reported profit deltas are not bit-equal. *)
+let run_dispatcher_both ?speeds ?ticker ?timers ?on_server_event
+    ?(planner = Planner.fcfs) ~admission ~queries ~servers () =
+  let d_fast =
+    Dispatchers.instantiate (Dispatchers.sla_tree ~admission planner)
+  in
+  let d_oracle =
+    Dispatchers.instantiate
+      (Dispatchers.sla_tree ~admission ~memo:false ~impl:Sla_tree.Boxed
+         planner)
+  in
   let decisions = ref 0 and mismatches = ref 0 in
   let dispatch sim q =
-    let a = d_incr sim q in
-    let b = d_tree sim q in
+    let a = d_fast sim q in
+    let b = d_oracle sim q in
     incr decisions;
-    if a.Sim.target <> b.Sim.target then incr mismatches;
+    if a.Sim.target <> b.Sim.target || not (same_delta a.est_delta b.est_delta)
+    then incr mismatches;
     a
   in
   let metrics = Metrics.create ~warmup_id:0 () in
-  Sim.run ?speeds ?ticker ~queries ~n_servers:servers
-    ~pick_next:(Schedulers.pick Schedulers.fcfs)
+  Sim.run ?speeds ?ticker ?timers ?on_server_event ~queries ~n_servers:servers
+    ~pick_next:(Schedulers.pick (Schedulers.of_planner planner))
     ~dispatch ~metrics ();
   check_balance metrics;
   (!decisions, !mismatches)
@@ -185,7 +225,7 @@ let test_dispatcher_equiv_exp () =
     run_dispatcher_both ~admission:false ~queries ~servers:4 ()
   in
   check_int "every arrival dispatched through both" 1_500 decisions;
-  check_int "no target mismatches" 0 mismatches
+  check_int "no target or delta mismatches" 0 mismatches
 
 let test_dispatcher_equiv_pareto_heterogeneous () =
   (* Heterogeneous speeds: the O(1) profit must keep the paper's
@@ -198,7 +238,7 @@ let test_dispatcher_equiv_pareto_heterogeneous () =
     run_dispatcher_both ~speeds:[| 1.0; 0.5; 2.0 |] ~admission:false ~queries
       ~servers:3 ()
   in
-  check_int "no target mismatches (heterogeneous)" 0 mismatches
+  check_int "no target or delta mismatches (heterogeneous)" 0 mismatches
 
 let test_dispatcher_equiv_admission () =
   (* Saturated farm with admission control: accept/reject decisions
@@ -210,7 +250,7 @@ let test_dispatcher_equiv_admission () =
   let _, mismatches =
     run_dispatcher_both ~admission:true ~queries ~servers:2 ()
   in
-  check_int "no accept/reject mismatches" 0 mismatches
+  check_int "no accept/reject or delta mismatches" 0 mismatches
 
 let test_dispatcher_equiv_elastic () =
   (* Same scripted scale-up/drain scenario on the dispatcher pair:
@@ -225,7 +265,34 @@ let test_dispatcher_equiv_elastic () =
       ~queries ~servers:3 ()
   in
   check_bool "dispatched (arrivals + redistributions)" true (decisions >= 1_500);
-  check_int "no target mismatches across scale events" 0 mismatches
+  check_int "no target or delta mismatches across scale events" 0 mismatches
+
+let test_dispatcher_equiv_fault_storm () =
+  (* A seeded storm of crashes and brownouts with retries and admission
+     on: orphans re-enter the dispatcher, speeds change mid-query, and
+     both routes must still agree on every accept, target and delta. *)
+  let servers = 4 in
+  let queries =
+    trace ~kind:Workloads.Exp ~sigma2:0.2 ~load:1.2 ~servers ~n_queries:1_500
+      ~seed:1010
+  in
+  let horizon = queries.(Array.length queries - 1).Query.arrival in
+  let plan =
+    Fault.random_plan ~degrade_prob:0.5 ~seed:11 ~horizon ~n_servers:servers
+      ~mttf:(horizon /. 4.0) ~mttr:(horizon /. 20.0) ()
+  in
+  let injector = Fault.create ~plan () in
+  let decisions, mismatches =
+    run_dispatcher_both ~timers:(Fault.timers injector)
+      ~on_server_event:(Fault.on_server_event injector) ~admission:true
+      ~queries ~servers ()
+  in
+  let st = Fault.stats injector in
+  check_bool "storm crashed and degraded servers" true
+    (st.Fault.crashes > 0 && st.Fault.degrades > 0);
+  check_bool "orphans retried through the dispatcher" true
+    (st.Fault.retries > 0 && decisions > 1_500);
+  check_int "no accept/reject, target or delta mismatches" 0 mismatches
 
 let prop_dispatcher_equiv_random_seeds =
   QCheck.Test.make ~name:"dispatcher targets equal over random seeds" ~count:8
@@ -242,32 +309,16 @@ let prop_dispatcher_equiv_random_seeds =
 
 (* ------------------------------------------------------------------ *)
 (* Flat vs boxed representation, memoized vs rebuild-per-candidate:
-   the default dispatcher (memoized probes over the flat arena-backed
-   tree) against the historical oracle (no cache, boxed tree, rebuilt
-   for every candidate), decision by decision on identical state. *)
+   the memoized dispatcher (probes over the flat arena-backed tree)
+   against the historical oracle (no cache, boxed tree, rebuilt for
+   every candidate), decision by decision on identical state. The
+   planner defaults to SJF because FCFS takes the tree-free route
+   checked above. *)
 
-let run_dispatcher_flat_boxed ?speeds ?ticker ?timers ?(planner = Planner.fcfs)
+let run_dispatcher_flat_boxed ?speeds ?ticker ?timers ?(planner = Planner.sjf)
     ?(admission = false) ~queries ~servers () =
-  let d_flat =
-    Dispatchers.instantiate (Dispatchers.sla_tree ~admission planner)
-  in
-  let d_boxed =
-    Dispatchers.instantiate
-      (Dispatchers.sla_tree ~admission ~memo:false ~impl:Sla_tree.Boxed planner)
-  in
-  let decisions = ref 0 and mismatches = ref 0 in
-  let dispatch sim q =
-    let a = d_flat sim q in
-    let b = d_boxed sim q in
-    incr decisions;
-    if a.Sim.target <> b.Sim.target then incr mismatches;
-    a
-  in
-  let metrics = Metrics.create ~warmup_id:0 () in
-  Sim.run ?speeds ?ticker ?timers ~queries ~n_servers:servers
-    ~pick_next:(Schedulers.pick (Schedulers.of_planner planner))
-    ~dispatch ~metrics ();
-  (!decisions, !mismatches)
+  run_dispatcher_both ?speeds ?ticker ?timers ~planner ~admission ~queries
+    ~servers ()
 
 let test_flat_boxed_dispatch_exp () =
   let queries =
@@ -372,13 +423,13 @@ let test_flat_boxed_dispatch_metrics_equal () =
   let run d =
     let metrics = Metrics.create ~warmup_id:500 () in
     Sim.run ~queries ~n_servers:3
-      ~pick_next:(Schedulers.pick Schedulers.fcfs)
+      ~pick_next:(Schedulers.pick Schedulers.sjf)
       ~dispatch:(Dispatchers.instantiate d)
       ~metrics ();
     metrics
   in
-  let a = run (Dispatchers.sla_tree Planner.fcfs) in
-  let b = run (Dispatchers.sla_tree ~memo:false ~impl:Sla_tree.Boxed Planner.fcfs) in
+  let a = run (Dispatchers.sla_tree Planner.sjf) in
+  let b = run (Dispatchers.sla_tree ~memo:false ~impl:Sla_tree.Boxed Planner.sjf) in
   Alcotest.(check (float 0.0))
     "identical avg loss" (Metrics.avg_loss a) (Metrics.avg_loss b);
   Alcotest.(check (float 0.0))
@@ -447,6 +498,8 @@ let () =
           Alcotest.test_case "admission control" `Quick
             test_dispatcher_equiv_admission;
           Alcotest.test_case "elastic pool" `Quick test_dispatcher_equiv_elastic;
+          Alcotest.test_case "fault storm (retries, brownouts, admission)"
+            `Quick test_dispatcher_equiv_fault_storm;
           qtest prop_dispatcher_equiv_random_seeds;
         ] );
       ( "flat-vs-boxed",

@@ -265,17 +265,6 @@ let test_ablation_admission_structure () =
   check_int "no rejections without AC" 0 without.Ablations.rejected;
   check_bool "AC rejects at overload" true (with_ac.Ablations.rejected > 0)
 
-let test_ablation_incremental_wins () =
-  let rows = Ablations.incr_compute ~buffer_sizes:[ 200 ] ~seed:3 () in
-  match rows with
-  | [ r ] ->
-    check_bool
-      (Printf.sprintf "incremental %.4f ms < rebuild %.4f ms"
-         r.Ablations.incremental_ms_per_cycle r.rebuild_ms_per_cycle)
-      true
-      (r.incremental_ms_per_cycle < r.rebuild_ms_per_cycle)
-  | _ -> Alcotest.fail "expected one row"
-
 let test_ablation_fairness () =
   let cells =
     Ablations.fairness_compute { tiny with n_queries = 3_000; warmup = 1_000 }
@@ -362,7 +351,6 @@ let () =
             test_ablation_sched_tree_never_worse;
           Alcotest.test_case "dispatch ladder" `Slow test_ablation_dispatch_ladder;
           Alcotest.test_case "admission structure" `Slow test_ablation_admission_structure;
-          Alcotest.test_case "incremental wins" `Slow test_ablation_incremental_wins;
           Alcotest.test_case "predictor structure" `Slow test_ablation_predictor_structure;
           Alcotest.test_case "fairness per class" `Slow test_ablation_fairness;
         ] );

@@ -23,14 +23,14 @@ type dec = { d_qid : int; d_now : float; d_target : int option; d_delta : float 
 let run_serial ?drop_policy ~warmup ~dispatcher ~queries ~servers () =
   let decisions = ref [] in
   let metrics = Metrics.create ~warmup_id:warmup () in
-  let pick_next, hook = Schedulers.instantiate Schedulers.fcfs_sla_tree_incr in
   Sim.run
     ~on_dispatch:(fun ~now q (d : Sim.decision) ->
       decisions :=
         { d_qid = q.Query.id; d_now = now; d_target = d.target;
           d_delta = d.est_delta }
         :: !decisions)
-    ?on_server_event:hook ?drop_policy ~queries ~n_servers:servers ~pick_next
+    ?drop_policy ~queries ~n_servers:servers
+    ~pick_next:(Schedulers.pick Schedulers.fcfs_sla_tree)
     ~dispatch:(Dispatchers.instantiate dispatcher)
     ~metrics ();
   (List.rev !decisions, metrics)
@@ -38,7 +38,7 @@ let run_serial ?drop_policy ~warmup ~dispatcher ~queries ~servers () =
 let run_served ?drop_policy ~warmup ~dispatcher ~queries ~servers () =
   let engine =
     Daemon.Engine.create ~warmup ?drop_policy ~clock:(Vclock.manual ())
-      ~scheduler:Schedulers.fcfs_sla_tree_incr ~dispatcher ~n_servers:servers
+      ~scheduler:Schedulers.fcfs_sla_tree ~dispatcher ~n_servers:servers
       ()
   in
   let decisions = ref [] in
@@ -116,7 +116,7 @@ let assert_equivalent ?drop_policy ~warmup ~mk_dispatcher ~queries ~servers ()
 let test_equivalence_plain () =
   let queries = trace ~servers:4 () in
   assert_equivalent ~warmup:0
-    ~mk_dispatcher:(fun () -> Dispatchers.fcfs_sla_tree_incr ())
+    ~mk_dispatcher:(fun () -> Dispatchers.sla_tree Planner.fcfs)
     ~queries ~servers:4 ()
 
 let test_equivalence_admission_drop () =
@@ -125,7 +125,7 @@ let test_equivalence_admission_drop () =
   let queries = trace ~n:1500 ~load:1.5 ~seed:11 ~servers:3 () in
   assert_equivalent ~warmup:100
     ~drop_policy:Sim.drop_past_last_deadline
-    ~mk_dispatcher:(fun () -> Dispatchers.fcfs_sla_tree_incr ~admission:true ())
+    ~mk_dispatcher:(fun () -> Dispatchers.sla_tree ~admission:true Planner.fcfs)
     ~queries ~servers:3 ()
 
 (* ------------------------------------------------------------------ *)
@@ -216,8 +216,8 @@ let test_socket_end_to_end () =
   let obs = Obs.create ~trace_capacity:0 () in
   let engine =
     Daemon.Engine.create ~obs ~clock:(Vclock.manual ())
-      ~scheduler:Schedulers.fcfs_sla_tree_incr
-      ~dispatcher:(Dispatchers.fcfs_sla_tree_incr ())
+      ~scheduler:Schedulers.fcfs_sla_tree
+      ~dispatcher:(Dispatchers.sla_tree Planner.fcfs)
       ~n_servers:4 ()
   in
   let stop = ref false in
@@ -274,7 +274,7 @@ let test_socket_end_to_end () =
   check_bool "healthz" true (health = "ok\n");
   (* Served accounting equals Sim.run on the identical trace. *)
   let _, serial_m =
-    run_serial ~warmup:0 ~dispatcher:(Dispatchers.fcfs_sla_tree_incr ())
+    run_serial ~warmup:0 ~dispatcher:(Dispatchers.sla_tree Planner.fcfs)
       ~queries ~servers:4 ()
   in
   check_bool "profit equals Sim.run bit-for-bit" true

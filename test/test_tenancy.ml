@@ -209,7 +209,7 @@ let run_admission ~queries ~servers ~acct ~admit =
     ~on_complete:(Tenancy.Acct.on_complete acct)
     ~queries ~n_servers:servers
     ~pick_next:(Schedulers.pick Schedulers.fcfs)
-    ~dispatch:(Dispatchers.instantiate (Dispatchers.fcfs_sla_tree_incr ()))
+    ~dispatch:(Dispatchers.instantiate (Dispatchers.sla_tree Planner.fcfs))
     ~metrics ();
   metrics
 
